@@ -3,8 +3,12 @@
 //! The build environment has no network access, so there is no `sha2` crate
 //! to pull — this is the standard compression function written out long-hand
 //! and pinned to the NIST test vectors below. It is *not* optimized (no
-//! SIMD, no unrolling beyond what the compiler does); the mesh MACs a few
-//! hundred bytes per frame, where a scalar implementation is plenty.
+//! SIMD, no unrolling beyond what the compiler does), and it shows: on the
+//! `tcp-durable` benchmark's per-layer ledger (`perfbench/METRICS.md`,
+//! two vCPUs of a shared Xeon host) tagging and verifying frames is the
+//! largest priced layer, 23% of replica CPU per command even after
+//! [`crate::hmac::HmacKey`] cut a short frame's MAC from five compressions
+//! to three (30% before).
 
 /// Digest length in bytes.
 pub const DIGEST_LEN: usize = 32;
@@ -88,11 +92,16 @@ impl Sha256 {
     /// Pads, runs the final blocks, and returns the digest.
     pub fn finalize(mut self) -> [u8; DIGEST_LEN] {
         let bit_len = self.total.wrapping_mul(8);
-        self.update(&[0x80]);
-        while self.buf_len != BLOCK_LEN - 8 {
-            self.update(&[0]);
+        // `0x80`, zeros up to the last 8 bytes of a block, then the bit
+        // length. A partial block with no room for the length closes
+        // first, and the length goes into a block of zeros of its own.
+        self.buf[self.buf_len] = 0x80;
+        self.buf[self.buf_len + 1..].fill(0);
+        if self.buf_len + 1 > BLOCK_LEN - 8 {
+            let block = self.buf;
+            self.compress(&block);
+            self.buf = [0; BLOCK_LEN];
         }
-        // Manual last block: `update` would count these length bytes.
         self.buf[BLOCK_LEN - 8..].copy_from_slice(&bit_len.to_be_bytes());
         let block = self.buf;
         self.compress(&block);
@@ -188,6 +197,40 @@ mod tests {
             hex(&h.finalize()),
             "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
         );
+    }
+
+    /// The block-at-once padding in `finalize` matches the byte-at-a-time
+    /// FIPS 180-4 padding for every length through three blocks, each
+    /// padding boundary (55/56, 63/64 bytes mod 64) included.
+    #[test]
+    fn padding_matches_bytewise_reference() {
+        fn reference(data: &[u8]) -> [u8; DIGEST_LEN] {
+            let mut h = Sha256::new();
+            h.update(data);
+            let bit_len = h.total.wrapping_mul(8);
+            h.update(&[0x80]);
+            while h.buf_len != BLOCK_LEN - 8 {
+                h.update(&[0]);
+            }
+            h.buf[BLOCK_LEN - 8..].copy_from_slice(&bit_len.to_be_bytes());
+            let block = h.buf;
+            h.compress(&block);
+            let mut out = [0u8; DIGEST_LEN];
+            for (i, word) in h.state.iter().enumerate() {
+                out[4 * i..4 * i + 4].copy_from_slice(&word.to_be_bytes());
+            }
+            out
+        }
+        let data: Vec<u8> = (0..3 * BLOCK_LEN as u16)
+            .map(|i| (i * 7 % 253) as u8)
+            .collect();
+        for len in 0..=data.len() {
+            assert_eq!(
+                Sha256::digest(&data[..len]),
+                reference(&data[..len]),
+                "len {len}"
+            );
+        }
     }
 
     /// Incremental updates split at every boundary agree with one-shot.

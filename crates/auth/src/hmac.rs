@@ -3,28 +3,57 @@
 
 use crate::hash::{Sha256, BLOCK_LEN, DIGEST_LEN};
 
-/// `HMAC-SHA256(key, msg)`.
+/// An HMAC-SHA256 key with its two pad blocks already absorbed.
 ///
-/// Keys longer than the 64-byte block are hashed down first, shorter keys
-/// are zero-padded — the standard RFC 2104 preprocessing.
-pub fn hmac_sha256(key: &[u8], msg: &[u8]) -> [u8; DIGEST_LEN] {
-    let mut block_key = [0u8; BLOCK_LEN];
-    if key.len() > BLOCK_LEN {
-        block_key[..DIGEST_LEN].copy_from_slice(&Sha256::digest(key));
-    } else {
-        block_key[..key.len()].copy_from_slice(key);
-    }
-    let mut inner = Sha256::new();
-    let ipad: Vec<u8> = block_key.iter().map(|b| b ^ 0x36).collect();
-    inner.update(&ipad);
-    inner.update(msg);
-    let inner_digest = inner.finalize();
+/// HMAC hashes `key ⊕ ipad` in front of the message and `key ⊕ opad` in
+/// front of the inner digest. Both are one full block, so a key made once
+/// keeps the two SHA-256 states that follow them and every MAC clones those
+/// states instead of hashing the pads again: a short message then costs
+/// the compressions of its own blocks plus one for the outer hash.
+#[derive(Clone)]
+pub struct HmacKey {
+    inner: Sha256,
+    outer: Sha256,
+}
 
-    let mut outer = Sha256::new();
-    let opad: Vec<u8> = block_key.iter().map(|b| b ^ 0x5c).collect();
-    outer.update(&opad);
-    outer.update(&inner_digest);
-    outer.finalize()
+impl HmacKey {
+    /// Prepares `key`: keys longer than the 64-byte block are hashed down
+    /// first, shorter keys are zero-padded (the RFC 2104 preprocessing).
+    pub fn new(key: &[u8]) -> Self {
+        let mut block_key = [0u8; BLOCK_LEN];
+        if key.len() > BLOCK_LEN {
+            block_key[..DIGEST_LEN].copy_from_slice(&Sha256::digest(key));
+        } else {
+            block_key[..key.len()].copy_from_slice(key);
+        }
+        let padded = |pad: u8| {
+            let mut h = Sha256::new();
+            h.update(&block_key.map(|b| b ^ pad));
+            h
+        };
+        HmacKey {
+            inner: padded(0x36),
+            outer: padded(0x5c),
+        }
+    }
+
+    /// `HMAC-SHA256(key, parts[0] ‖ parts[1] ‖ …)`: the parts are streamed
+    /// into the hash, so a framed message needs no joined copy.
+    pub fn mac(&self, parts: &[&[u8]]) -> [u8; DIGEST_LEN] {
+        let mut inner = self.inner.clone();
+        for part in parts {
+            inner.update(part);
+        }
+        let mut outer = self.outer.clone();
+        outer.update(&inner.finalize());
+        outer.finalize()
+    }
+}
+
+/// `HMAC-SHA256(key, msg)`, for one-off keys (see [`HmacKey`] for a key
+/// that MACs many messages).
+pub fn hmac_sha256(key: &[u8], msg: &[u8]) -> [u8; DIGEST_LEN] {
+    HmacKey::new(key).mac(&[msg])
 }
 
 #[cfg(test)]
@@ -66,6 +95,37 @@ mod tests {
             )),
             "9b09ffa71b942fcb27635fbcd5b0e944bfdc63644f0713938a7f51535c3a35e2"
         );
+    }
+
+    /// RFC 4231 test cases 3 and 4: 50 bytes of data under a 20- and a
+    /// 25-byte key.
+    #[test]
+    fn rfc4231_vectors_fifty_byte_data() {
+        // Case 3: 20-byte 0xaa key, 50 bytes of 0xdd.
+        assert_eq!(
+            hex(&hmac_sha256(&[0xaa; 20], &[0xdd; 50])),
+            "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe"
+        );
+        // Case 4: the 25-byte key 0x01..=0x19, 50 bytes of 0xcd.
+        let key: Vec<u8> = (0x01..=0x19).collect();
+        assert_eq!(
+            hex(&hmac_sha256(&key, &[0xcd; 50])),
+            "82558a389a443c0ea4cc819899f2083a85f0faa3e578f8077a2e3ff46729665b"
+        );
+    }
+
+    /// Streaming the message in parts gives the MAC of the joined bytes.
+    #[test]
+    fn parts_stream_like_one_message() {
+        let key = HmacKey::new(b"parts-key");
+        let msg: Vec<u8> = (0..200u8).collect();
+        for cut in [0, 1, 13, 63, 64, 65, 150, 200] {
+            assert_eq!(
+                key.mac(&[&msg[..cut], &msg[cut..]]),
+                hmac_sha256(b"parts-key", &msg),
+                "cut at {cut}"
+            );
+        }
     }
 
     #[test]

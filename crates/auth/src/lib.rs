@@ -50,7 +50,7 @@ use core::fmt;
 use minsync_types::ProcessId;
 
 use hash::Sha256;
-use hmac::hmac_sha256;
+use hmac::{hmac_sha256, HmacKey};
 
 /// MAC tag length in bytes (HMAC-SHA256 truncated; 128-bit tags).
 pub const MAC_LEN: usize = 16;
@@ -167,6 +167,9 @@ fn toy_sign(signer: ProcessId, msg: &[u8]) -> Sig {
 pub struct HmacAuthenticator {
     me: ProcessId,
     keys: Vec<[u8; KEY_LEN]>,
+    /// `keys[j]` with its HMAC pad blocks absorbed, built once so a frame's
+    /// MAC hashes only the frame.
+    prepared: Vec<HmacKey>,
 }
 
 impl fmt::Debug for HmacAuthenticator {
@@ -212,12 +215,14 @@ impl HmacAuthenticator {
                         }
                     })
                     .collect();
-                HmacAuthenticator {
-                    me: ProcessId::new(i),
-                    keys,
-                }
+                HmacAuthenticator::with_keys(ProcessId::new(i), keys)
             })
             .collect()
+    }
+
+    fn with_keys(me: ProcessId, keys: Vec<[u8; KEY_LEN]>) -> Self {
+        let prepared = keys.iter().map(|key| HmacKey::new(key)).collect();
+        HmacAuthenticator { me, keys, prepared }
     }
 
     /// Cluster size this keyring was dealt for.
@@ -253,21 +258,13 @@ impl HmacAuthenticator {
             .chunks_exact(KEY_LEN)
             .map(|c| c.try_into().expect("exact chunk"))
             .collect();
-        Some(HmacAuthenticator {
-            me: ProcessId::new(me),
-            keys,
-        })
+        Some(HmacAuthenticator::with_keys(ProcessId::new(me), keys))
     }
 
     fn mac(&self, from: ProcessId, to: ProcessId, msg: &[u8]) -> Option<Mac> {
         let peer = if from == self.me { to } else { from };
-        let key = self.keys.get(peer.index())?;
-        let mut input = Vec::with_capacity(domain::MAC.len() + 8 + msg.len());
-        input.extend_from_slice(domain::MAC);
-        input.extend_from_slice(&id_bytes(from));
-        input.extend_from_slice(&id_bytes(to));
-        input.extend_from_slice(msg);
-        let full = hmac_sha256(key, &input);
+        let key = self.prepared.get(peer.index())?;
+        let full = key.mac(&[domain::MAC, &id_bytes(from), &id_bytes(to), msg]);
         Some(Mac(full[..MAC_LEN].try_into().expect("truncation fits")))
     }
 }
@@ -611,6 +608,56 @@ mod tests {
     fn debug_digest_separates_values() {
         assert_ne!(debug_digest(&1u64), debug_digest(&2u64));
         assert_eq!(debug_digest(&vec![1, 2]), debug_digest(&vec![1, 2]));
+    }
+
+    /// The wire MAC is pinned: these tags were recorded from the original
+    /// implementation (one HMAC over the joined `MAC-domain ‖ from ‖ to ‖
+    /// msg` copy), so a replica built from this code interoperates with
+    /// one built from that.
+    #[test]
+    fn tags_match_pinned_vectors() {
+        let ring = HmacAuthenticator::deal(b"minsync-pinned-tag", 4);
+        // 100 bytes: the MAC input spans two blocks.
+        let msg: Vec<u8> = (0..100u8)
+            .map(|i| i.wrapping_mul(37).wrapping_add(11))
+            .collect();
+        let tag = ring[1].tag(ProcessId::new(2), &msg);
+        assert_eq!(to_hex(&tag.0), "b5b45f7b0c527bf5d9201acf7f6502cf");
+        assert!(ring[2].verify(ProcessId::new(1), &msg, &tag));
+        assert_eq!(
+            to_hex(&ring[3].tag(ProcessId::new(0), b"").0),
+            "a8cc4e31a651fc61b2cca91e6e1e6cdb"
+        );
+        // A keyring parsed back from hex prepares the same keys.
+        let parsed = HmacAuthenticator::from_hex(&ring[2].to_hex()).expect("round-trips");
+        assert_eq!(
+            to_hex(&parsed.tag(ProcessId::new(1), &msg).0),
+            "6c1f8ca14f20e851e9b486d80dec7b85"
+        );
+    }
+
+    /// `tag` and `verify` agree at the SHA-256 padding boundaries: those of
+    /// the bare message (55/56 and 63/64 bytes mod 64) and those of the MAC
+    /// input, which the 21-byte domain-and-ids prefix shifts (34/35, 42/43).
+    #[test]
+    fn tag_verify_agree_across_padding_boundaries() {
+        let ring = ring(4);
+        let data: Vec<u8> = (0..1000u32).map(|i| (i % 251) as u8).collect();
+        for len in [
+            0, 34, 35, 42, 43, 55, 56, 63, 64, 65, 98, 99, 119, 120, 1000,
+        ] {
+            let msg = &data[..len];
+            let tag = ring[0].tag(ProcessId::new(3), msg);
+            assert!(ring[3].verify(ProcessId::new(0), msg, &tag), "len {len}");
+            if len > 0 {
+                let mut flipped = msg.to_vec();
+                flipped[len - 1] ^= 1;
+                assert!(
+                    !ring[3].verify(ProcessId::new(0), &flipped, &tag),
+                    "len {len}"
+                );
+            }
+        }
     }
 
     #[test]

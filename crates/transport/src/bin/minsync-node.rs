@@ -404,17 +404,18 @@ fn run(args: Args) -> Result<(), String> {
             watchdog = watchdog.with_trace(Arc::clone(trace));
         }
         let mut next_sample = args.stats_period.map(|p| run_start + p);
+        let debug = std::env::var_os("MINSYNC_NODE_DEBUG").is_some();
+        // The probe runs after every message and outputs only ever grow:
+        // fold just the new ones into a running count.
+        let (mut seen, mut committed) = (0, 0);
         move |outs: &[MeshOutput<Out>], _counters: &minsync_transport::mesh::MeshCounters| {
-            if std::env::var_os("MINSYNC_NODE_DEBUG").is_some()
-                && last_dbg.elapsed() > Duration::from_secs(1)
-            {
+            committed += committed_commands(&outs[seen..]);
+            seen = outs.len();
+            if debug && last_dbg.elapsed() > Duration::from_secs(1) {
                 last_dbg = std::time::Instant::now();
-                eprintln!(
-                    "minsync-node[{me:?}]: progress {}/{total}",
-                    committed_commands(outs)
-                );
+                eprintln!("minsync-node[{me:?}]: progress {committed}/{total}");
             }
-            if !reported && committed_commands(outs) >= total {
+            if !reported && committed >= total {
                 reported = true;
                 print_stats(pop, outs, me, tick, &registry);
             }

@@ -871,6 +871,13 @@ struct WriterSpec {
 /// Byte budget for a writer's replay ring (see [`spawn_writer`]).
 const WRITER_REPLAY_BYTES: usize = 1 << 20;
 
+/// Byte budget of one coalesced socket write, and the size of a reader's
+/// read chunk. A writer drains its queue into one buffer up to this many
+/// bytes and hands the kernel the whole batch at once: with
+/// `TCP_NODELAY` set, one `write` per ~100-byte frame would put most of a
+/// busy replica's CPU time in system calls.
+const WRITE_BATCH_BYTES: usize = 64 * 1024;
+
 fn spawn_writer<M>(
     spec: WriterSpec,
     rx: Receiver<WriterCmd<M>>,
@@ -888,7 +895,7 @@ where
         .encode();
         let mut backoff = spec.initial_backoff;
         let mut connects = 0u64;
-        let mut buf = Vec::new();
+        let mut batch = Vec::with_capacity(WRITE_BATCH_BYTES);
         // The protocol stack assumes reliable channels: every consensus
         // message is sent exactly once, so a frame that dies with a broken
         // connection is a liveness hole (most insidiously when the peer's
@@ -898,7 +905,9 @@ where
         // replay ring that is re-sent wholesale after every reconnect
         // (every layer above dedups by sender, so duplicates are free), and
         // an idle writer probes the socket with keepalive frames so a dead
-        // connection is noticed in ~100ms instead of never.
+        // connection is noticed in ~100ms instead of never. The ring holds
+        // one entry per frame, not per coalesced write, so its byte budget
+        // evicts frames exactly as it would if each had its own write.
         let mut replay: VecDeque<Vec<u8>> = VecDeque::new();
         let mut replay_bytes = 0usize;
         'reconnect: while !shared.shutdown() {
@@ -939,112 +948,8 @@ where
             }
             let mut last_ping = Instant::now();
             loop {
-                match rx.recv_timeout(spec.keepalive) {
-                    Ok(WriterCmd::Pong(stamp)) => {
-                        // Echo the peer's RTT probe. Raw control frame:
-                        // best-effort (no replay ring) — a lost pong just
-                        // skips one RTT observation.
-                        if shared.shutdown() {
-                            return;
-                        }
-                        if stream.write_all(&control_frame(PONG_TAG, stamp)).is_err() {
-                            continue 'reconnect;
-                        }
-                    }
-                    Ok(WriterCmd::Msg(msg)) => {
-                        let depth = spec
-                            .depth
-                            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |d| {
-                                Some(d.saturating_sub(1))
-                            })
-                            .unwrap_or(0)
-                            .saturating_sub(1);
-                        shared.backlog[spec.peer].set(depth);
-                        if let Some(ctx) = &spec.trace {
-                            ctx.record(TraceKind::Dequeue {
-                                queue: queues::OUTBOUND_BASE + spec.peer as u32,
-                                depth,
-                            });
-                        }
-                        if shared.shutdown() {
-                            // Teardown outranks the backlog: against a
-                            // slow (or byte-at-a-time Byzantine) reader,
-                            // draining a full queue at up to one write
-                            // timeout per message could hold the mesh's
-                            // join far past its wall-clock cap. The popped
-                            // message is discarded — count it like every
-                            // other drop.
-                            shared.outbound_dropped[spec.peer].inc();
-                            return;
-                        }
-                        buf.clear();
-                        // Untraced runs call the plain codec — the timing
-                        // probe costs two clock reads per frame, paid only
-                        // when someone will look at the result.
-                        let encoded = if let Some(ctx) = &spec.trace {
-                            let (res, nanos) = match &spec.auth {
-                                Some(auth) => {
-                                    let t0 = Instant::now();
-                                    let r = encode_frame_tagged(
-                                        &msg,
-                                        &mut buf,
-                                        spec.max_frame,
-                                        auth.as_ref(),
-                                        peer_id,
-                                    );
-                                    (r, t0.elapsed().as_nanos() as u64)
-                                }
-                                None => encode_frame_timed(&msg, &mut buf, spec.max_frame),
-                            };
-                            ctx.record(TraceKind::FrameEncoded {
-                                bytes: buf.len() as u64,
-                                nanos,
-                            });
-                            res
-                        } else {
-                            match &spec.auth {
-                                Some(auth) => encode_frame_tagged(
-                                    &msg,
-                                    &mut buf,
-                                    spec.max_frame,
-                                    auth.as_ref(),
-                                    peer_id,
-                                ),
-                                None => encode_frame(&msg, &mut buf, spec.max_frame),
-                            }
-                        };
-                        if encoded.is_err() {
-                            // Oversized local message: unsendable, count it.
-                            shared.outbound_dropped[spec.peer].inc();
-                            continue;
-                        }
-                        // Into the ring *before* the write: a failed write
-                        // is then a retransmission matter, not a loss (the
-                        // frame goes out with the replay on reconnect).
-                        // Frames evicted past the byte budget may or may
-                        // not have been delivered — they are not counted as
-                        // drops, the ring is a best-effort replay window.
-                        replay_bytes += buf.len();
-                        replay.push_back(buf.clone());
-                        while replay_bytes > WRITER_REPLAY_BYTES && replay.len() > 1 {
-                            let evicted = replay.pop_front().expect("ring is non-empty");
-                            replay_bytes -= evicted.len();
-                        }
-                        if stream.write_all(&buf).is_err() {
-                            continue 'reconnect;
-                        }
-                        // Refresh the RTT estimate under load too: without
-                        // this, a busy connection would only ever be
-                        // measured while idle.
-                        if last_ping.elapsed() >= spec.keepalive {
-                            last_ping = Instant::now();
-                            shared.pings.inc();
-                            let stamp = spec.epoch.elapsed().as_nanos() as u64;
-                            if stream.write_all(&control_frame(PING_TAG, stamp)).is_err() {
-                                continue 'reconnect;
-                            }
-                        }
-                    }
+                let mut next = match rx.recv_timeout(spec.keepalive) {
+                    Ok(cmd) => Some(cmd),
                     Err(RecvTimeoutError::Timeout) => {
                         if shared.shutdown() {
                             return;
@@ -1058,8 +963,129 @@ where
                         if stream.write_all(&probe).is_err() {
                             continue 'reconnect;
                         }
+                        continue;
                     }
                     Err(RecvTimeoutError::Disconnected) => return,
+                };
+                // Everything already queued joins this write, up to the
+                // batch budget; each frame keeps its own MAC, gauges,
+                // trace events and ring entry.
+                batch.clear();
+                let mut closing = false;
+                while let Some(cmd) = next.take() {
+                    match cmd {
+                        WriterCmd::Pong(stamp) => {
+                            // Echo the peer's RTT probe. Raw control frame:
+                            // best-effort (no replay ring) — a lost pong
+                            // just skips one RTT observation.
+                            if shared.shutdown() {
+                                closing = true;
+                                break;
+                            }
+                            batch.extend_from_slice(&control_frame(PONG_TAG, stamp));
+                        }
+                        WriterCmd::Msg(msg) => {
+                            let depth = spec
+                                .depth
+                                .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |d| {
+                                    Some(d.saturating_sub(1))
+                                })
+                                .unwrap_or(0)
+                                .saturating_sub(1);
+                            shared.backlog[spec.peer].set(depth);
+                            if let Some(ctx) = &spec.trace {
+                                ctx.record(TraceKind::Dequeue {
+                                    queue: queues::OUTBOUND_BASE + spec.peer as u32,
+                                    depth,
+                                });
+                            }
+                            if shared.shutdown() {
+                                // Teardown outranks the backlog: against a
+                                // slow (or byte-at-a-time Byzantine) reader,
+                                // draining a full queue at up to one write
+                                // timeout per batch could hold the mesh's
+                                // join far past its wall-clock cap. The
+                                // popped message is discarded — count it
+                                // like every other drop.
+                                shared.outbound_dropped[spec.peer].inc();
+                                closing = true;
+                                break;
+                            }
+                            let at = batch.len();
+                            // Untraced runs call the plain codec — the
+                            // timing probe costs two clock reads per frame,
+                            // paid only when someone will look at the
+                            // result.
+                            let encoded = if let Some(ctx) = &spec.trace {
+                                let (res, nanos) = match &spec.auth {
+                                    Some(auth) => {
+                                        let t0 = Instant::now();
+                                        let r = encode_frame_tagged(
+                                            &msg,
+                                            &mut batch,
+                                            spec.max_frame,
+                                            auth.as_ref(),
+                                            peer_id,
+                                        );
+                                        (r, t0.elapsed().as_nanos() as u64)
+                                    }
+                                    None => encode_frame_timed(&msg, &mut batch, spec.max_frame),
+                                };
+                                ctx.record(TraceKind::FrameEncoded {
+                                    bytes: (batch.len() - at) as u64,
+                                    nanos,
+                                });
+                                res
+                            } else {
+                                match &spec.auth {
+                                    Some(auth) => encode_frame_tagged(
+                                        &msg,
+                                        &mut batch,
+                                        spec.max_frame,
+                                        auth.as_ref(),
+                                        peer_id,
+                                    ),
+                                    None => encode_frame(&msg, &mut batch, spec.max_frame),
+                                }
+                            };
+                            if encoded.is_err() {
+                                // Oversized local message: unsendable, count
+                                // it (the encoder left `batch` as it was).
+                                shared.outbound_dropped[spec.peer].inc();
+                            } else {
+                                // Into the ring *before* the write: a failed
+                                // write is then a retransmission matter, not
+                                // a loss (the frame goes out with the replay
+                                // on reconnect). Frames evicted past the
+                                // byte budget may or may not have been
+                                // delivered — they are not counted as drops,
+                                // the ring is a best-effort replay window.
+                                replay_bytes += batch.len() - at;
+                                replay.push_back(batch[at..].to_vec());
+                                while replay_bytes > WRITER_REPLAY_BYTES && replay.len() > 1 {
+                                    let evicted = replay.pop_front().expect("ring is non-empty");
+                                    replay_bytes -= evicted.len();
+                                }
+                            }
+                        }
+                    }
+                    if batch.len() < WRITE_BATCH_BYTES {
+                        next = rx.try_recv().ok();
+                    }
+                }
+                // Refresh the RTT estimate under load too: without this, a
+                // busy connection would only ever be measured while idle.
+                if !closing && last_ping.elapsed() >= spec.keepalive {
+                    last_ping = Instant::now();
+                    shared.pings.inc();
+                    let stamp = spec.epoch.elapsed().as_nanos() as u64;
+                    batch.extend_from_slice(&control_frame(PING_TAG, stamp));
+                }
+                if !batch.is_empty() && stream.write_all(&batch).is_err() {
+                    continue 'reconnect;
+                }
+                if closing {
+                    return;
                 }
             }
         }
@@ -1192,7 +1218,7 @@ fn reader_loop<M>(
     let _ = stream.set_read_timeout(Some(Duration::from_millis(50)));
     let _ = stream.set_nodelay(true);
     let mut buf: Vec<u8> = Vec::new();
-    let mut chunk = [0u8; 16 * 1024];
+    let mut chunk = vec![0u8; WRITE_BATCH_BYTES];
     let mut sender: Option<ProcessId> = None;
     // Two defenses keep connection slots reclaimable: connections that
     // never complete a valid Hello are cut at a deadline, and completing a

@@ -569,3 +569,135 @@ fn forged_handshakes_cannot_evict_the_genuine_connection() {
         "forged bytes never reached the codec"
     );
 }
+
+/// A burst far larger than one coalesced write crosses an authenticated
+/// link intact: the writer packs many tagged frames per socket write, and
+/// the reader splits them back into every message, once each, in FIFO
+/// order, with no MAC failure and no drop.
+#[test]
+fn coalesced_burst_arrives_once_in_order() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Arc;
+    use std::time::Instant;
+
+    const BURST: u64 = 20_000;
+
+    /// Sends `0..BURST` to peer 1 at start.
+    struct Burst;
+    impl Node for Burst {
+        type Msg = u64;
+        type Output = u64;
+
+        fn on_start(&mut self, env: &mut Env<u64, u64>) {
+            for v in 0..BURST {
+                env.send(ProcessId::new(1), v);
+            }
+        }
+
+        fn on_message(&mut self, _: ProcessId, _: u64, _: &mut Env<u64, u64>) {}
+    }
+
+    let mut ring = HmacAuthenticator::deal(b"mesh-coalesce-test", 2);
+    let auth_b = ring.remove(1);
+    let auth_a = ring.remove(0);
+    let a = TcpMesh::bind(ProcessId::new(0), "127.0.0.1:0".parse().unwrap()).unwrap();
+    let b = TcpMesh::bind(ProcessId::new(1), "127.0.0.1:0".parse().unwrap()).unwrap();
+    let peers = vec![a.local_addr().unwrap(), b.local_addr().unwrap()];
+    // Room for the whole burst in the writer queue, so a drop would be the
+    // writer's fault, not back-pressure.
+    let config = |auth: HmacAuthenticator| MeshConfig {
+        outbound_capacity: 2 * BURST as usize,
+        auth: Some(Arc::new(auth)),
+        ..quick_config()
+    };
+    let (config_a, config_b) = (config(auth_a), config(auth_b));
+    let received = Arc::new(AtomicBool::new(false));
+    let received_b = Arc::clone(&received);
+    let peers_b = peers.clone();
+    let handle = std::thread::spawn(move || {
+        let mut full_since = None;
+        b.run(Box::new(Collector), &peers_b, &config_b, move |outs, _| {
+            if outs.len() as u64 >= BURST {
+                received_b.store(true, Ordering::Relaxed);
+                // Linger so a duplicate would land before the assert.
+                let at = *full_since.get_or_insert_with(Instant::now);
+                return at.elapsed() > Duration::from_millis(200);
+            }
+            false
+        })
+    });
+    let report_a = a.run(Box::new(Burst), &peers, &config_a, |_, _| {
+        received.load(Ordering::Relaxed)
+    });
+    let report_b = handle.join().unwrap();
+    assert!(!report_a.timed_out && !report_b.timed_out);
+    let events: Vec<u64> = report_b.outputs.iter().map(|o| o.event).collect();
+    assert_eq!(events.len() as u64, BURST, "every message exactly once");
+    assert!(
+        events.iter().copied().eq(0..BURST),
+        "messages arrive in FIFO order"
+    );
+    assert_eq!(report_b.auth_rejects, 0);
+    assert_eq!(report_b.decode_disconnects, 0);
+    assert_eq!(report_a.outbound_dropped, [0, 0]);
+}
+
+/// Several tagged frames in one socket write, and one frame split across
+/// two writes, all decode: the reader does not assume a write boundary is
+/// a frame boundary.
+#[test]
+fn tagged_frames_packed_and_split_across_writes_all_decode() {
+    let mut ring = HmacAuthenticator::deal(b"mesh-packing-test", 2);
+    let peer_auth = ring.remove(1);
+    let my_auth = ring.remove(0);
+    let mesh = TcpMesh::bind(ProcessId::new(0), "127.0.0.1:0".parse().unwrap()).unwrap();
+    let addr = mesh.local_addr().unwrap();
+    let peers = vec![addr, "127.0.0.1:1".parse().unwrap()];
+    let config = MeshConfig {
+        auth: Some(std::sync::Arc::new(my_auth)),
+        ..quick_config()
+    };
+
+    let poker = std::thread::spawn(move || {
+        let mut bytes = Hello::authenticated(2, &peer_auth, ProcessId::new(0)).encode();
+        for v in 1..=4u64 {
+            encode_frame_tagged(
+                &v,
+                &mut bytes,
+                DEFAULT_MAX_FRAME,
+                &peer_auth,
+                ProcessId::new(0),
+            )
+            .unwrap();
+        }
+        let mut last = Vec::new();
+        encode_frame_tagged(
+            &5u64,
+            &mut last,
+            DEFAULT_MAX_FRAME,
+            &peer_auth,
+            ProcessId::new(0),
+        )
+        .unwrap();
+        let (head, tail) = last.split_at(last.len() / 2);
+        let mut s = TcpStream::connect(addr).unwrap();
+        // The hello, four whole frames and half of the fifth in one write…
+        bytes.extend_from_slice(head);
+        s.write_all(&bytes).unwrap();
+        std::thread::sleep(Duration::from_millis(100));
+        // …and the rest of the fifth in a second.
+        s.write_all(tail).unwrap();
+        std::thread::sleep(Duration::from_millis(500));
+        drop(s);
+    });
+
+    let report = mesh.run(Box::new(Collector), &peers, &config, |outs, _| {
+        outs.len() >= 5
+    });
+    poker.join().unwrap();
+    assert!(!report.timed_out);
+    let events: Vec<u64> = report.outputs.iter().map(|o| o.event).collect();
+    assert_eq!(events, [1, 2, 3, 4, 5]);
+    assert_eq!(report.auth_rejects, 0);
+    assert_eq!(report.decode_disconnects, 0);
+}
