@@ -3,7 +3,8 @@
 //!
 //! The paper's model (Section 2.1) *assumes* a Byzantine process cannot
 //! impersonate another. The simulator and threaded substrates enforce that
-//! structurally (the router stamps true sender ids); the TCP transport
+//! structurally (the substrate, not the node, stamps the true sender id on
+//! every message); the TCP transport
 //! cannot — a socket claims whatever sender id it likes. This crate closes
 //! that gap with an [`Authenticator`]: a per-process object that tags
 //! outgoing bytes and verifies claimed senders, plus `sign`/`verify_sig`

@@ -261,6 +261,7 @@ fn run_cross_substrate(quick: bool, seed: u64) -> (WorkloadReport, u64) {
             tick: Duration::from_micros(50),
             timeout: Duration::from_secs(60),
             seed,
+            ..ThreadedConfig::default()
         },
         |outs| {
             (0..4).all(|p| {

@@ -4,8 +4,8 @@
 //! A [`crate::Node`] handler receives a `&mut Env<M, O>` and pushes
 //! [`Effect`] values into it ([`Env::send`], [`Env::broadcast`],
 //! [`Env::set_timer`], …). After the handler returns, the substrate (the
-//! simulator or the threaded runtime) drains the buffer and interprets each
-//! effect. Protocol automata therefore never hold a reference into the
+//! simulator, or the [`crate::Driver`] on the wall-clock substrates) drains
+//! the buffer and interprets each effect. Protocol automata therefore never hold a reference into the
 //! substrate, which is what makes executions recordable ("effect traces"),
 //! replayable, and runnable on many seeds in parallel.
 //!
@@ -88,8 +88,9 @@ impl<M, O> Effect<M, O> {
 /// The execution environment handed to every [`crate::Node`] handler: the
 /// node's identity and clock plus a reusable effect buffer.
 ///
-/// The substrate owns one `Env` per process (threaded runtime) or one
-/// shared `Env` re-targeted per invocation (simulator); either way it calls
+/// The substrate owns one `Env` per process (each wall-clock
+/// [`crate::Driver`]) or one shared `Env` re-targeted per invocation
+/// (simulator); either way it calls
 /// [`Env::prepare`] before a handler runs and [`Env::take_buffer`] /
 /// [`Env::drain`] afterwards.
 ///
@@ -273,12 +274,12 @@ impl<M, O> Env<M, O> {
     }
 
     /// Direct access to the timer table — **substrate-side only**. A
-    /// wall-clock runtime keeps each process's table inside its own `Env`
-    /// permanently and consults it when applying timer effects
+    /// wall-clock [`crate::Driver`] keeps its process's table inside its own
+    /// `Env` permanently and consults it when applying timer effects
     /// ([`TimerTable::arm`] / [`TimerTable::cancel`]) and deciding whether
     /// a due firing is still live ([`TimerTable::try_fire`]). Public so
-    /// out-of-crate substrates (the TCP transport) can reuse the scheme;
-    /// protocol automata must never touch it.
+    /// tests can drive the scheme through an `Env`; protocol automata must
+    /// never touch it.
     pub fn timers_mut(&mut self) -> &mut TimerTable {
         &mut self.timers
     }

@@ -4,7 +4,8 @@
 //! network: every ordered pair of processes is connected by a uni-directional
 //! channel that does not lose, duplicate, modify, or create messages, and
 //! whose delays are finite but otherwise arbitrary — unless the channel is
-//! *(eventually) timely* (Section 4). This crate implements that model twice:
+//! *(eventually) timely* (Section 4). This crate runs that model on two
+//! substrates:
 //!
 //! * [`sim`] — a deterministic discrete-event simulator with virtual time.
 //!   Channel behavior is a per-directed-edge [`ChannelTiming`]:
@@ -14,13 +15,18 @@
 //!   seeds yield identical executions, which makes the paper's *eventual*
 //!   assumptions testable.
 //! * [`threaded`] — a live runtime executing the same [`Node`] automata on
-//!   OS threads with crossbeam channels and a delay-injecting router, for
-//!   examples that want wall-clock behavior.
+//!   OS threads, one [`Driver`] per process; each sender samples the
+//!   channel delay and pushes the message straight into the destination's
+//!   inbox, for examples that want wall-clock behavior.
+//!
+//! The [`Driver`] is the wall-clock half of the crate: it runs one process's
+//! node against real time, and the TCP mesh in `minsync-transport` is built
+//! on it too.
 //!
 //! # The sans-io automaton API
 //!
 //! Protocols are written once against [`Node`] / [`Env`] and run unchanged
-//! on both substrates. A handler never calls into the substrate: it pushes
+//! on every substrate. A handler never calls into the substrate: it pushes
 //! [`Effect`] values (sends, broadcasts, timer operations, outputs, halt)
 //! into the concrete [`Env`] it was handed, and the substrate drains and
 //! interprets the buffer after the handler returns. Consequences:
@@ -99,6 +105,7 @@
 #![warn(missing_docs)]
 
 mod channel;
+mod driver;
 mod effect;
 mod node;
 mod seed;
@@ -109,6 +116,7 @@ mod timer;
 mod topology;
 
 pub use channel::{ChannelTiming, DelayLaw};
+pub use driver::{Driver, Outbox, WallClock};
 pub use effect::{Effect, Env};
 pub use node::{Node, TimerId};
 pub use seed::{derive_stream, stream_of, SPLITMIX64_GOLDEN};

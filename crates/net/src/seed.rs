@@ -3,7 +3,7 @@
 //! Several components need *independent* pseudo-random streams derived from
 //! one user-provided seed: the simulator keeps the node-visible [`Env`]
 //! stream distinct from its delay-sampling stream, the threaded runtime
-//! seeds its router and each node thread separately, the workload generator
+//! seeds each process's env and delay sampling separately, the workload generator
 //! gives every client its own arrival stream, and the TCP transport derives
 //! a per-replica stream from the cluster seed. Before this helper each site
 //! re-spelled the same SplitMix64 golden-ratio mix inline; they now share

@@ -14,19 +14,6 @@ use super::oracle::{DelayOracle, ScheduleCommand, ScheduleOracle};
 use super::queue::EventQueue;
 use crate::{ChannelTiming, Effect, Env, NetworkTopology, Node, TimerTable, VirtualTime};
 
-/// One recorded message delivery (see [`SimBuilder::log_deliveries`]).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct DeliveryRecord {
-    /// Delivery time.
-    pub time: VirtualTime,
-    /// True sender.
-    pub from: ProcessId,
-    /// Destination.
-    pub to: ProcessId,
-    /// Message kind per the installed classifier (`"?"` without one).
-    pub kind: &'static str,
-}
-
 /// One observable event emitted by a node via [`crate::Env::output`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct OutputRecord<O> {
@@ -127,7 +114,6 @@ pub struct SimBuilder<M, O> {
     classifier: Option<fn(&M) -> &'static str>,
     oracle: Option<Box<dyn DelayOracle<M>>>,
     schedule: Option<Box<dyn ScheduleOracle<M>>>,
-    log_deliveries: usize,
     record_effects: usize,
     record_causes: usize,
     trace: Option<Arc<TraceRecorder>>,
@@ -152,7 +138,6 @@ where
             classifier: None,
             oracle: None,
             schedule: None,
-            log_deliveries: 0,
             record_effects: 0,
             record_causes: 0,
             trace: None,
@@ -196,15 +181,6 @@ where
     /// Installs a message classifier for per-kind metrics.
     pub fn classify(mut self, f: fn(&M) -> &'static str) -> Self {
         self.classifier = Some(f);
-        self
-    }
-
-    /// Records the first `capacity` message deliveries as
-    /// [`DeliveryRecord`]s (timestamp, sender, destination, classified
-    /// kind) for debugging; read them back via
-    /// [`Simulation::delivery_log`].
-    pub fn log_deliveries(mut self, capacity: usize) -> Self {
-        self.log_deliveries = capacity;
         self
     }
 
@@ -339,8 +315,6 @@ where
             classifier: self.classifier,
             oracle: self.oracle,
             schedule: self.schedule,
-            delivery_log: Vec::new(),
-            delivery_log_capacity: self.log_deliveries,
             effect_trace: Vec::new(),
             effect_trace_capacity: self.record_effects,
             cause_trace: Vec::new(),
@@ -398,8 +372,6 @@ pub struct Simulation<M, O> {
     classifier: Option<fn(&M) -> &'static str>,
     oracle: Option<Box<dyn DelayOracle<M>>>,
     schedule: Option<Box<dyn ScheduleOracle<M>>>,
-    delivery_log: Vec<DeliveryRecord>,
-    delivery_log_capacity: usize,
     effect_trace: Vec<EffectRecord<M, O>>,
     effect_trace_capacity: usize,
     cause_trace: Vec<CauseRecord<M>>,
@@ -448,12 +420,6 @@ where
     /// is nothing to record.
     pub fn stat_series(&self) -> &TimeSeries {
         &self.stat_series
-    }
-
-    /// Recorded deliveries (empty unless [`SimBuilder::log_deliveries`] was
-    /// used; capped at the configured capacity).
-    pub fn delivery_log(&self) -> &[DeliveryRecord] {
-        &self.delivery_log
     }
 
     /// Recorded per-invocation effect streams (empty unless
@@ -581,11 +547,11 @@ where
                     return;
                 }
                 self.record_cause(p, || InvocationCause::Start);
-                let step = self.step_start();
                 self.begin_invocation(p);
+                let step = self.step_start();
                 self.nodes[p.index()].on_start(&mut self.env);
-                self.end_invocation(p);
                 self.note_step(p, step);
+                self.end_invocation(p);
             }
             EventKind::Deliver { from, to, msg } => {
                 if self.halted[to.index()] {
@@ -593,23 +559,15 @@ where
                     return;
                 }
                 self.metrics.messages_delivered += 1;
-                if self.delivery_log.len() < self.delivery_log_capacity {
-                    self.delivery_log.push(DeliveryRecord {
-                        time: self.now,
-                        from,
-                        to,
-                        kind: self.classifier.map_or("?", |c| c(&msg)),
-                    });
-                }
                 self.record_cause(to, || InvocationCause::Deliver {
                     from,
                     msg: msg.clone(),
                 });
-                let step = self.step_start();
                 self.begin_invocation(to);
+                let step = self.step_start();
                 self.nodes[to.index()].on_message(from, msg, &mut self.env);
-                self.end_invocation(to);
                 self.note_step(to, step);
+                self.end_invocation(to);
             }
             EventKind::Timer { process, timer } => {
                 if self.halted[process.index()] {
@@ -627,11 +585,11 @@ where
                     );
                 }
                 self.record_cause(process, || InvocationCause::Timer { id: timer });
-                let step = self.step_start();
                 self.begin_invocation(process);
+                let step = self.step_start();
                 self.nodes[process.index()].on_timer(timer, &mut self.env);
-                self.end_invocation(process);
                 self.note_step(process, step);
+                self.end_invocation(process);
             }
         }
     }
@@ -643,6 +601,8 @@ where
     }
 
     /// Records the handler step cost begun at `step` (no-op untraced).
+    /// Called before the effects are applied, so the step prices the
+    /// handler call alone — as on the wall-clock substrates.
     fn note_step(&self, p: ProcessId, step: Option<Instant>) {
         if let (Some(trace), Some(start)) = (&self.trace, step) {
             trace.record_at(
@@ -1471,6 +1431,37 @@ mod tests {
             snap.gauge("sim.events_processed"),
             Some(report.metrics.events_processed)
         );
+    }
+
+    #[test]
+    fn handler_step_prices_the_handler_call_alone() {
+        let recorder = Arc::new(TraceRecorder::new(4096));
+        let mut sim = SimBuilder::new(NetworkTopology::uniform(2, ChannelTiming::timely(2)))
+            .seed(3)
+            .node(Echo { hops: 5 })
+            .node(Echo { hops: 5 })
+            .trace(Arc::clone(&recorder))
+            .build();
+        sim.run();
+        // Between the dequeue that begins an invocation and that
+        // invocation's HandlerStep, nothing is enqueued: effects are
+        // applied only after the step is recorded.
+        let mut in_handler = false;
+        let mut enqueues_after_step = 0;
+        for e in recorder.events() {
+            match e.kind {
+                TraceKind::Dequeue { queue, .. } if queue == queues::SIM_EVENTS => {
+                    in_handler = true;
+                }
+                TraceKind::HandlerStep { .. } => in_handler = false,
+                TraceKind::Enqueue { queue, .. } if queue == queues::SIM_EVENTS => {
+                    assert!(!in_handler, "an enqueue fell inside a handler step: {e:?}");
+                    enqueues_after_step += 1;
+                }
+                _ => {}
+            }
+        }
+        assert!(enqueues_after_step > 2, "the run applied effects at all");
     }
 
     #[test]

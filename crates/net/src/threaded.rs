@@ -1,36 +1,40 @@
 //! A live, multi-threaded runtime for the same [`Node`] automata the
 //! simulator runs.
 //!
-//! Every process gets an OS thread; a router thread applies the
-//! [`NetworkTopology`]'s per-channel delays in wall-clock time (one virtual
-//! tick = [`ThreadedConfig::tick`]). This runtime exists for the examples —
-//! it demonstrates that the sans-io automata are substrate-independent —
-//! and makes no determinism promises: that is the simulator's job.
+//! Every process gets an OS thread running one [`Driver`] plus its own
+//! inbox. A sender samples the [`NetworkTopology`]'s per-channel delay (one
+//! send timestamp per broadcast, one virtual tick =
+//! [`ThreadedConfig::tick`]) and pushes `(due, from, msg)` straight into the
+//! destination's inbox; the receiving driver delivers the message once it
+//! falls due. No send ever blocks: inboxes are unbounded, and a process that
+//! has halted drops its inbox, so traffic to it is discarded. Outputs flow to
+//! a collector on the calling thread, which evaluates the stop predicate.
 //!
-//! Each node thread owns a private [`Env`]; after every handler invocation
-//! it drains the queued [`Effect`]s: sends and broadcasts go to the router
-//! (a broadcast travels as *one* router command and is fanned out there,
-//! with a single send timestamp), timers stay in a local heap, outputs flow
-//! to the collector.
+//! This runtime exists for the examples — it demonstrates that the sans-io
+//! automata are substrate-independent — and makes no determinism promises:
+//! that is the simulator's job.
 
-use std::collections::BinaryHeap;
 use std::fmt::Debug;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{bounded, unbounded, RecvTimeoutError, Sender};
-use minsync_telemetry::trace::{queues, TraceKind, TraceRecorder};
-use minsync_telemetry::{Registry, Sampler, TimeSeries};
+use crossbeam::channel::{unbounded, RecvTimeoutError, Sender};
+use minsync_telemetry::trace::TraceRecorder;
 use minsync_types::ProcessId;
 use rand::rngs::SplitMix64;
 use rand::SeedableRng;
 
-use crate::{Effect, Env, NetworkTopology, Node, TimerId, VirtualTime};
+use crate::{Driver, Effect, NetworkTopology, Node, Outbox, WallClock};
 
 /// Stream-namespace tag of the threaded runtime (`"THRD"`), keeping its
 /// derived seeds disjoint from every other consumer of the same base seed.
+/// Local indices `1..=n` seed the node envs; [`DELAY_STREAMS`]` + i` seeds
+/// process `i`'s delay sampling.
 const THREADED_STREAM_TAG: u32 = 0x5448_5244;
+
+/// First local stream index of the per-sender delay-sampling streams.
+const DELAY_STREAMS: u32 = 1 << 31;
 
 /// Wall-clock execution parameters.
 #[derive(Clone, Debug)]
@@ -43,6 +47,13 @@ pub struct ThreadedConfig {
     /// RNG seed (per-thread RNGs are derived from it; scheduling is still
     /// OS-dependent, so runs are *not* reproducible).
     pub seed: u64,
+    /// Structured-trace hook. When set, every process mirrors its execution
+    /// into the ring: effects at the sans-io boundary, `INBOX`
+    /// enqueue/dequeue (enqueue stamped when a delivery falls due), timer
+    /// firings and per-handler wall-clock step costs. Timestamps are
+    /// wall-clock time divided by [`ThreadedConfig::tick`], so dumps line
+    /// up with simulator dumps of the same configuration.
+    pub trace: Option<Arc<TraceRecorder>>,
 }
 
 impl Default for ThreadedConfig {
@@ -51,6 +62,7 @@ impl Default for ThreadedConfig {
             tick: Duration::from_micros(200),
             timeout: Duration::from_secs(30),
             seed: 0,
+            trace: None,
         }
     }
 }
@@ -94,20 +106,8 @@ pub struct RecordedInvocation<M, O> {
     pub effects: Vec<Effect<M, O>>,
 }
 
-enum RouterCmd<M> {
-    Send {
-        from: ProcessId,
-        to: ProcessId,
-        msg: M,
-    },
-    /// One broadcast = one command: the router expands the fan-out with a
-    /// single send timestamp for all `n` copies.
-    Broadcast { from: ProcessId, msg: M },
-}
-
-enum NodeEvent<M> {
-    Deliver { from: ProcessId, msg: M },
-}
+/// A message in flight: the instant it falls due, its sender, the message.
+type InFlight<M> = (Instant, ProcessId, M);
 
 /// Runs `nodes` on OS threads until `stop` returns true over the collected
 /// outputs, or the timeout elapses.
@@ -125,68 +125,7 @@ where
     M: Clone + Debug + Send + 'static,
     O: Clone + Debug + Send + 'static,
 {
-    run_threaded_inner(topology, nodes, config, stop, None, None, None).0
-}
-
-/// Like [`run_threaded`], but additionally samples `registry` on the
-/// collector thread every `period` of wall-clock time, returning the
-/// delta-encoded stat stream alongside the report — the threaded
-/// counterpart of [`SimBuilder::sample_stats`](crate::sim::SimBuilder::sample_stats).
-///
-/// Sample timestamps are wall-clock offsets divided by
-/// [`ThreadedConfig::tick`], so they line up with traced dumps of the same
-/// configuration. A closing sample is always taken after shutdown, so the
-/// series' latest point reflects the final state.
-///
-/// # Panics
-///
-/// Panics if `nodes.len() != topology.n()` or `period` is zero.
-pub fn run_threaded_sampled<M, O>(
-    topology: NetworkTopology,
-    nodes: Vec<Box<dyn Node<Msg = M, Output = O>>>,
-    config: ThreadedConfig,
-    stop: impl FnMut(&[ThreadedOutput<O>]) -> bool,
-    registry: Arc<Registry>,
-    period: Duration,
-) -> (ThreadedReport<O>, TimeSeries)
-where
-    M: Clone + Debug + Send + 'static,
-    O: Clone + Debug + Send + 'static,
-{
-    assert!(!period.is_zero(), "a zero sampling period never advances");
-    run_threaded_inner(
-        topology,
-        nodes,
-        config,
-        stop,
-        None,
-        None,
-        Some((registry, period)),
-    )
-}
-
-/// Like [`run_threaded`], but mirrors the execution into a telemetry trace
-/// ring: every effect at the sans-io boundary (via each worker's [`Env`]),
-/// inbox enqueue/dequeue with depth, timer firings, and per-handler
-/// wall-clock step costs. Timestamps are wall-clock time divided by
-/// [`ThreadedConfig::tick`], so dumps line up with simulator dumps of the
-/// same configuration.
-///
-/// # Panics
-///
-/// Panics if `nodes.len() != topology.n()`.
-pub fn run_threaded_traced<M, O>(
-    topology: NetworkTopology,
-    nodes: Vec<Box<dyn Node<Msg = M, Output = O>>>,
-    config: ThreadedConfig,
-    stop: impl FnMut(&[ThreadedOutput<O>]) -> bool,
-    trace: Arc<TraceRecorder>,
-) -> ThreadedReport<O>
-where
-    M: Clone + Debug + Send + 'static,
-    O: Clone + Debug + Send + 'static,
-{
-    run_threaded_inner(topology, nodes, config, stop, None, Some(trace), None).0
+    run_threaded_inner(topology, nodes, config, stop, None)
 }
 
 /// Like [`run_threaded`], but additionally records every handler
@@ -212,8 +151,7 @@ where
     O: Clone + Debug + Send + 'static,
 {
     let (record_tx, record_rx) = unbounded::<RecordedInvocation<M, O>>();
-    let (report, _) =
-        run_threaded_inner(topology, nodes, config, stop, Some(record_tx), None, None);
+    let report = run_threaded_inner(topology, nodes, config, stop, Some(record_tx));
     // Every worker thread (and the local clone) has dropped its sender by
     // the time the inner run returns, so this drain terminates.
     let mut recorded = Vec::new();
@@ -229,291 +167,70 @@ fn run_threaded_inner<M, O>(
     config: ThreadedConfig,
     mut stop: impl FnMut(&[ThreadedOutput<O>]) -> bool,
     record: Option<Sender<RecordedInvocation<M, O>>>,
-    trace: Option<Arc<TraceRecorder>>,
-    sample: Option<(Arc<Registry>, Duration)>,
-) -> (ThreadedReport<O>, TimeSeries)
+) -> ThreadedReport<O>
 where
     M: Clone + Debug + Send + 'static,
     O: Clone + Debug + Send + 'static,
 {
     assert_eq!(nodes.len(), topology.n(), "node count must match topology");
     let n = nodes.len();
-    let start = Instant::now();
+    let clock = WallClock::new(Instant::now(), config.tick);
     let shutdown = Arc::new(AtomicBool::new(false));
-
-    let (router_tx, router_rx) = unbounded::<RouterCmd<M>>();
     let (output_tx, output_rx) = unbounded::<ThreadedOutput<O>>();
+    let (inbox_txs, inbox_rxs): (Vec<_>, Vec<_>) =
+        (0..n).map(|_| unbounded::<InFlight<M>>()).unzip();
+    let stream =
+        |k: u32| crate::derive_stream(config.seed, crate::stream_of(THREADED_STREAM_TAG, k));
 
-    let mut inbox_txs = Vec::with_capacity(n);
-    let mut inbox_rxs = Vec::with_capacity(n);
-    for _ in 0..n {
-        // Bounded inboxes apply gentle backpressure to runaway senders.
-        let (tx, rx) = bounded::<NodeEvent<M>>(64 * 1024);
-        inbox_txs.push(tx);
-        inbox_rxs.push(rx);
-    }
-    // Inbox depth tracking exists only for telemetry (the vendored channel
-    // has no len()); untraced runs never touch the atomics.
-    let inbox_depths: Vec<Arc<AtomicU64>> = (0..n).map(|_| Arc::new(AtomicU64::new(0))).collect();
-
-    // Router thread: applies channel delays, then forwards into inboxes.
-    let router_handle = {
-        let shutdown = Arc::clone(&shutdown);
-        let topology = topology.clone();
-        let inboxes = inbox_txs.clone();
-        let depths = inbox_depths.clone();
-        let trace = trace.clone();
-        let tick = config.tick;
-        // Tagged stream namespace (see `derive_stream`): local index 0 is
-        // the router's delay-sampling stream, 1..=n the node envs —
-        // disjoint from the simulator's and workload's bare indices.
-        let mut rng = SplitMix64::seed_from_u64(crate::derive_stream(
-            config.seed,
-            crate::stream_of(THREADED_STREAM_TAG, 0),
-        ));
-        std::thread::spawn(move || {
-            struct Pending<M> {
-                due: Instant,
-                seq: u64,
-                to: ProcessId,
-                from: ProcessId,
-                msg: M,
-            }
-            impl<M> PartialEq for Pending<M> {
-                fn eq(&self, o: &Self) -> bool {
-                    self.due == o.due && self.seq == o.seq
-                }
-            }
-            impl<M> Eq for Pending<M> {}
-            impl<M> PartialOrd for Pending<M> {
-                fn partial_cmp(&self, o: &Self) -> Option<std::cmp::Ordering> {
-                    Some(self.cmp(o))
-                }
-            }
-            impl<M> Ord for Pending<M> {
-                fn cmp(&self, o: &Self) -> std::cmp::Ordering {
-                    // Min-heap by (due, seq).
-                    (o.due, o.seq).cmp(&(self.due, self.seq))
-                }
-            }
-
-            let mut heap: BinaryHeap<Pending<M>> = BinaryHeap::new();
-            let mut seq = 0u64;
-            let ticks_now = |start: Instant, tick: Duration| {
-                VirtualTime::from_ticks(
-                    (start.elapsed().as_nanos() / tick.as_nanos().max(1)) as u64,
-                )
-            };
-            let schedule = |heap: &mut BinaryHeap<Pending<M>>,
-                            seq: &mut u64,
-                            rng: &mut SplitMix64,
-                            sent_ticks: VirtualTime,
-                            from: ProcessId,
-                            to: ProcessId,
-                            msg: M| {
-                let due_ticks = topology.timing(from, to).delivery_time(sent_ticks, rng);
-                let delay = due_ticks - sent_ticks;
-                heap.push(Pending {
-                    due: Instant::now() + tick * u32::try_from(delay).unwrap_or(u32::MAX),
-                    seq: *seq,
-                    to,
-                    from,
-                    msg,
-                });
-                *seq += 1;
-            };
-            loop {
-                if shutdown.load(Ordering::Relaxed) {
-                    break;
-                }
-                // Deliver everything due.
-                let now = Instant::now();
-                while heap.peek().is_some_and(|p| p.due <= now) {
-                    let p = heap.pop().expect("peeked");
-                    // A closed inbox just means the node is done.
-                    let to = p.to.index();
-                    if inboxes[to]
-                        .send(NodeEvent::Deliver {
-                            from: p.from,
-                            msg: p.msg,
-                        })
-                        .is_ok()
-                    {
-                        if let Some(trace) = &trace {
-                            let depth = depths[to].fetch_add(1, Ordering::Relaxed) + 1;
-                            trace.record_at(
-                                ticks_now(start, tick).ticks(),
-                                to as u32,
-                                TraceKind::Enqueue {
-                                    queue: queues::INBOX,
-                                    depth,
-                                },
-                            );
-                        }
-                    }
-                }
-                let wait = heap
-                    .peek()
-                    .map(|p| p.due.saturating_duration_since(Instant::now()))
-                    .unwrap_or(Duration::from_millis(20))
-                    .min(Duration::from_millis(20));
-                match router_rx.recv_timeout(wait) {
-                    Ok(RouterCmd::Send { from, to, msg }) => {
-                        let sent_ticks = ticks_now(start, tick);
-                        schedule(&mut heap, &mut seq, &mut rng, sent_ticks, from, to, msg);
-                    }
-                    Ok(RouterCmd::Broadcast { from, msg }) => {
-                        // One timestamp for the whole fan-out; per-channel
-                        // delays still sampled per destination.
-                        let sent_ticks = ticks_now(start, tick);
-                        for p in 0..inboxes.len() {
-                            schedule(
-                                &mut heap,
-                                &mut seq,
-                                &mut rng,
-                                sent_ticks,
-                                from,
-                                ProcessId::new(p),
-                                msg.clone(),
-                            );
-                        }
-                    }
-                    Err(RecvTimeoutError::Timeout) => {}
-                    Err(RecvTimeoutError::Disconnected) => {
-                        // All node threads gone; flush what is due and exit.
-                        if heap.is_empty() {
-                            break;
-                        }
-                    }
-                }
-            }
-        })
-    };
-
-    // Node threads.
+    // Each worker owns its inbox receiver, so a worker that exits (halted,
+    // or shut down) disconnects its inbox and later sends to it fail fast.
     let mut handles = Vec::with_capacity(n);
-    for (idx, mut node) in nodes.into_iter().enumerate() {
+    for (idx, (node, inbox)) in nodes.into_iter().zip(inbox_rxs).enumerate() {
         let me = ProcessId::new(idx);
-        let inbox = inbox_rxs[idx].clone();
-        let router = router_tx.clone();
-        let outputs = output_tx.clone();
-        let record = record.clone();
-        let trace = trace.clone();
-        let depth = Arc::clone(&inbox_depths[idx]);
-        let shutdown = Arc::clone(&shutdown);
-        let tick = config.tick;
-        let seed = crate::derive_stream(
-            config.seed,
-            crate::stream_of(THREADED_STREAM_TAG, idx as u32 + 1),
+        let mut wires = Wires {
+            me,
+            clock,
+            topology: topology.clone(),
+            rng: SplitMix64::seed_from_u64(stream(DELAY_STREAMS + idx as u32)),
+            inboxes: inbox_txs.clone(),
+            outputs: output_tx.clone(),
+            record: record.clone(),
+        };
+        let mut driver = Driver::new(
+            me,
+            n,
+            node,
+            stream(idx as u32 + 1),
+            clock,
+            config.trace.clone(),
         );
+        let shutdown = Arc::clone(&shutdown);
         handles.push(std::thread::spawn(move || {
-            let mut worker = NodeWorker {
-                me,
-                start,
-                tick,
-                router,
-                outputs,
-                record,
-                trace,
-                inbox_depth: depth,
-                timers: BinaryHeap::new(),
-                halted: false,
-                env: Env::new(n, seed),
-            };
-            if let Some(trace) = &worker.trace {
-                worker.env.set_trace(Arc::clone(trace));
-            }
-            worker.env.prepare(me, worker.now());
-            let step = worker.step_start();
-            node.on_start(&mut worker.env);
-            worker.apply_effects();
-            worker.note_step(step);
-            while !worker.halted && !shutdown.load(Ordering::Relaxed) {
-                let now = Instant::now();
-                // Fire due timers first.
-                while worker
-                    .timers
-                    .peek()
-                    .is_some_and(|t: &PendingTimer| t.due <= now)
-                {
-                    let t = worker.timers.pop().expect("peeked");
-                    if worker.env.timers_mut().try_fire(t.id) {
-                        worker.env.prepare(me, worker.now());
-                        if let Some(trace) = &worker.trace {
-                            trace.record_at(
-                                worker.now().ticks(),
-                                me.index() as u32,
-                                TraceKind::TimerFired,
-                            );
-                        }
-                        let step = worker.step_start();
-                        node.on_timer(t.id, &mut worker.env);
-                        worker.apply_effects();
-                        worker.note_step(step);
-                        if worker.halted {
-                            break;
-                        }
-                    }
-                }
-                if worker.halted {
-                    break;
-                }
-                let wait = worker
-                    .timers
-                    .peek()
-                    .map(|t| t.due.saturating_duration_since(Instant::now()))
-                    .unwrap_or(Duration::from_millis(20))
-                    .min(Duration::from_millis(20));
-                match inbox.recv_timeout(wait) {
-                    Ok(NodeEvent::Deliver { from, msg }) => {
-                        worker.note_dequeue();
-                        worker.env.prepare(me, worker.now());
-                        let step = worker.step_start();
-                        node.on_message(from, msg, &mut worker.env);
-                        worker.apply_effects();
-                        worker.note_step(step);
-                    }
+            driver.start(&mut wires);
+            while !driver.halted() && !shutdown.load(Ordering::Relaxed) {
+                driver.run_due(&mut wires);
+                match inbox.recv_timeout(driver.next_wait(Duration::from_millis(20))) {
+                    Ok((due, from, msg)) => driver.schedule(due, from, msg),
                     Err(RecvTimeoutError::Timeout) => {}
                     Err(RecvTimeoutError::Disconnected) => break,
                 }
             }
         }));
     }
-    drop(router_tx);
+    drop(inbox_txs);
     drop(output_tx);
     drop(record);
 
-    // Collector loop on the calling thread. Stat sampling rides the same
-    // loop: each pass checks whether the wall-clock sampling boundary has
-    // passed, so sampling needs no extra thread and observes the registry
-    // at most once per collector wake-up.
+    // Collector loop on the calling thread.
     let mut collected: Vec<ThreadedOutput<O>> = Vec::new();
     let mut timed_out = false;
-    let mut sampler = Sampler::new();
-    let mut series = TimeSeries::with_capacity(4096);
-    let ticks_of = |elapsed: Duration| (elapsed.as_nanos() / config.tick.as_nanos().max(1)) as u64;
-    let take_sample = |sampler: &mut Sampler, series: &mut TimeSeries| {
-        if let Some((registry, _)) = &sample {
-            let s = sampler.sample(ticks_of(start.elapsed()), &registry.snapshot());
-            series
-                .apply(&s)
-                .expect("sampler emits strictly sequential samples");
-        }
-    };
-    let mut next_sample = sample.as_ref().map(|(_, period)| start + *period);
     loop {
         if stop(&collected) {
             break;
         }
-        if start.elapsed() >= config.timeout {
+        if clock.elapsed() >= config.timeout {
             timed_out = true;
             break;
-        }
-        if let (Some(due), Some((_, period))) = (next_sample, &sample) {
-            if Instant::now() >= due {
-                take_sample(&mut sampler, &mut series);
-                next_sample = Some(due + *period);
-            }
         }
         match output_rx.recv_timeout(Duration::from_millis(10)) {
             Ok(out) => collected.push(out),
@@ -529,162 +246,78 @@ where
     for h in handles {
         let _ = h.join();
     }
-    let _ = router_handle.join();
-    // Closing sample after every worker has quiesced, so the latest point
-    // carries the final gauge values.
-    take_sample(&mut sampler, &mut series);
-    (
-        ThreadedReport {
-            outputs: collected,
-            elapsed: start.elapsed(),
-            timed_out,
-        },
-        series,
-    )
-}
-
-struct PendingTimer {
-    due: Instant,
-    id: TimerId,
-}
-
-impl PartialEq for PendingTimer {
-    fn eq(&self, o: &Self) -> bool {
-        self.due == o.due && self.id == o.id
-    }
-}
-impl Eq for PendingTimer {}
-impl PartialOrd for PendingTimer {
-    fn partial_cmp(&self, o: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(o))
-    }
-}
-impl Ord for PendingTimer {
-    fn cmp(&self, o: &Self) -> std::cmp::Ordering {
-        (o.due, o.id).cmp(&(self.due, self.id)) // min-heap
+    ThreadedReport {
+        outputs: collected,
+        elapsed: clock.elapsed(),
+        timed_out,
     }
 }
 
-/// Per-thread interpreter state: one [`Env`] plus the local timer wheel and
-/// the channels into the router/collector. Timer liveness is the
-/// [`crate::TimerTable`] living inside the env (the same table
-/// [`Env::set_timer`] allocates from), so cancellation checks are O(1)
-/// generation comparisons instead of hash-set probes.
-struct NodeWorker<M, O> {
+/// One process's side of the in-memory network: the [`Outbox`] its driver
+/// sends through.
+struct Wires<M, O> {
     me: ProcessId,
-    start: Instant,
-    tick: Duration,
-    router: Sender<RouterCmd<M>>,
+    clock: WallClock,
+    topology: NetworkTopology,
+    /// This sender's delay-sampling stream.
+    rng: SplitMix64,
+    inboxes: Vec<Sender<InFlight<M>>>,
     outputs: Sender<ThreadedOutput<O>>,
     /// Recording channel of [`run_threaded_recorded`] (`None` = plain run).
     record: Option<Sender<RecordedInvocation<M, O>>>,
-    /// Telemetry ring of [`run_threaded_traced`] (`None` = untraced run).
-    trace: Option<Arc<TraceRecorder>>,
-    /// This node's inbox depth, shared with the router thread.
-    inbox_depth: Arc<AtomicU64>,
-    timers: BinaryHeap<PendingTimer>,
-    halted: bool,
-    env: Env<M, O>,
 }
 
-impl<M: Clone, O: Clone> NodeWorker<M, O> {
-    fn now(&self) -> VirtualTime {
-        VirtualTime::from_ticks(
-            (self.start.elapsed().as_nanos() / self.tick.as_nanos().max(1)) as u64,
-        )
+impl<M: Clone, O: Clone> Wires<M, O> {
+    /// Samples the `me → to` delay for a message sent at `sent` and hands
+    /// it to `to`'s inbox. A closed inbox just means that process is done.
+    fn route(&mut self, sent: Instant, to: ProcessId, msg: M) {
+        let at = self.clock.ticks_at(sent);
+        let delay = self
+            .topology
+            .timing(self.me, to)
+            .delivery_time(at, &mut self.rng)
+            - at;
+        let due = self.clock.after(sent, delay);
+        let _ = self.inboxes[to.index()].send((due, self.me, msg));
+    }
+}
+
+impl<M: Clone, O: Clone> Outbox<M, O> for Wires<M, O> {
+    fn send(&mut self, to: ProcessId, msg: M) {
+        self.route(Instant::now(), to, msg);
     }
 
-    /// Wall-clock start of a handler step, taken only when tracing.
-    fn step_start(&self) -> Option<Instant> {
-        self.trace.as_ref().map(|_| Instant::now())
-    }
-
-    /// Records the handler step cost begun at `step` (no-op untraced).
-    fn note_step(&self, step: Option<Instant>) {
-        if let (Some(trace), Some(start)) = (&self.trace, step) {
-            trace.record_at(
-                self.now().ticks(),
-                self.me.index() as u32,
-                TraceKind::HandlerStep {
-                    nanos: start.elapsed().as_nanos() as u64,
-                },
-            );
+    fn broadcast(&mut self, msg: M) {
+        // One timestamp for the whole fan-out; per-channel delays are still
+        // sampled per destination.
+        let sent = Instant::now();
+        for to in 0..self.inboxes.len() {
+            self.route(sent, ProcessId::new(to), msg.clone());
         }
     }
 
-    /// Records an inbox dequeue with the post-dequeue depth (no-op
-    /// untraced).
-    fn note_dequeue(&self) {
-        if let Some(trace) = &self.trace {
-            let depth = self
-                .inbox_depth
-                .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |d| {
-                    Some(d.saturating_sub(1))
-                })
-                .unwrap_or(0)
-                .saturating_sub(1);
-            trace.record_at(
-                self.now().ticks(),
-                self.me.index() as u32,
-                TraceKind::Dequeue {
-                    queue: queues::INBOX,
-                    depth,
-                },
-            );
-        }
+    fn output(&mut self, elapsed: Duration, event: O) {
+        let _ = self.outputs.send(ThreadedOutput {
+            process: self.me,
+            elapsed,
+            event,
+        });
     }
 
-    /// Drains the env and interprets each effect.
-    fn apply_effects(&mut self) {
-        let mut effects = self.env.take_buffer();
+    fn observe(&mut self, effects: &[Effect<M, O>]) {
         if let Some(tx) = &self.record {
             let _ = tx.send(RecordedInvocation {
                 process: self.me,
-                effects: effects.clone(),
+                effects: effects.to_vec(),
             });
         }
-        for effect in effects.drain(..) {
-            match effect {
-                Effect::Send { to, msg } => {
-                    let _ = self.router.send(RouterCmd::Send {
-                        from: self.me,
-                        to,
-                        msg,
-                    });
-                }
-                Effect::Broadcast { msg } => {
-                    let _ = self
-                        .router
-                        .send(RouterCmd::Broadcast { from: self.me, msg });
-                }
-                Effect::SetTimer { id, delay } => {
-                    let due = Instant::now() + self.tick * (delay.min(u32::MAX as u64) as u32);
-                    self.env.timers_mut().arm(id);
-                    self.timers.push(PendingTimer { due, id });
-                }
-                Effect::CancelTimer { id } => {
-                    self.env.timers_mut().cancel(id);
-                }
-                Effect::Output(event) => {
-                    let _ = self.outputs.send(ThreadedOutput {
-                        process: self.me,
-                        elapsed: self.start.elapsed(),
-                        event,
-                    });
-                }
-                Effect::Halt => {
-                    self.halted = true;
-                }
-            }
-        }
-        self.env.restore_buffer(effects);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ChannelTiming;
+    use crate::{ChannelTiming, Env, TimerId};
 
     struct Pinger;
 
@@ -716,6 +349,7 @@ mod tests {
                 tick: Duration::from_micros(50),
                 timeout: Duration::from_secs(10),
                 seed: 1,
+                trace: None,
             },
             |outs| outs.len() >= 3,
         );
@@ -736,6 +370,7 @@ mod tests {
                 tick: Duration::from_micros(50),
                 timeout: Duration::from_secs(10),
                 seed: 3,
+                trace: None,
             },
             |outs| outs.len() >= 2,
         );
@@ -771,64 +406,6 @@ mod tests {
         }
     }
 
-    /// Outputs a beat on a repeating timer, never halting — keeps the run
-    /// alive until the stop predicate fires.
-    struct Beater;
-
-    impl Node for Beater {
-        type Msg = ();
-        type Output = u64;
-
-        fn on_start(&mut self, env: &mut Env<(), u64>) {
-            env.set_timer(2);
-        }
-
-        fn on_message(&mut self, _: ProcessId, _: (), _: &mut Env<(), u64>) {}
-
-        fn on_timer(&mut self, _t: TimerId, env: &mut Env<(), u64>) {
-            env.output(1);
-            env.set_timer(2);
-        }
-    }
-
-    #[test]
-    fn sampled_run_streams_registry_deltas() {
-        let topo = NetworkTopology::all_timely(1, 1);
-        let registry = Arc::new(Registry::new());
-        let progress = registry.gauge("test.collected");
-        let began = Instant::now();
-        let (report, series) = run_threaded_sampled(
-            topo,
-            vec![Box::new(Beater) as Box<dyn Node<Msg = (), Output = u64>>],
-            ThreadedConfig {
-                tick: Duration::from_micros(200),
-                timeout: Duration::from_secs(10),
-                seed: 1,
-            },
-            // Publish collector progress through the registry so the
-            // periodic samples have something to delta-encode; hold the
-            // run open long enough for at least two boundaries to pass.
-            |outs| {
-                progress.set(outs.len() as u64);
-                outs.len() >= 3 && began.elapsed() >= Duration::from_millis(50)
-            },
-            Arc::clone(&registry),
-            Duration::from_millis(10),
-        );
-        assert!(!report.timed_out, "threaded run timed out");
-        assert!(series.len() >= 2, "periodic samples plus the closing one");
-        assert_eq!(
-            series.applied(),
-            series.latest().map(|p| p.index + 1).unwrap()
-        );
-        // The closing sample captured the collected count as of the last
-        // stop-predicate call (the post-break drain may add a few more).
-        let sampled_count = series.state().gauge("test.collected").unwrap();
-        assert!((3..=report.outputs.len() as u64).contains(&sampled_count));
-        let stamps: Vec<u64> = series.points().map(|p| p.at).collect();
-        assert!(stamps.windows(2).all(|w| w[0] <= w[1]));
-    }
-
     #[test]
     fn threaded_timers_fire_and_cancel() {
         let topo = NetworkTopology::all_timely(1, 1);
@@ -839,11 +416,65 @@ mod tests {
                 tick: Duration::from_micros(100),
                 timeout: Duration::from_secs(5),
                 seed: 2,
+                trace: None,
             },
             |outs| !outs.is_empty(),
         );
         assert!(!report.timed_out);
         assert_eq!(report.outputs.len(), 1, "cancelled timer must not fire");
         assert_eq!(report.outputs[0].event, "fired");
+    }
+
+    /// p0 halts at once; p1 then sends p0 more messages than an inbox of
+    /// 64 Ki slots would hold.
+    struct FloodTheHalted;
+
+    impl Node for FloodTheHalted {
+        type Msg = u32;
+        type Output = u32;
+
+        fn on_start(&mut self, env: &mut Env<u32, u32>) {
+            if env.me() == ProcessId::new(0) {
+                env.halt();
+            } else {
+                for i in 0..70_000 {
+                    env.send(ProcessId::new(0), i);
+                }
+            }
+        }
+
+        fn on_message(&mut self, _: ProcessId, _: u32, _: &mut Env<u32, u32>) {}
+    }
+
+    #[test]
+    fn flooding_a_halted_process_does_not_hang_the_run() {
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        // The run goes on a thread of its own so a hang fails the test at
+        // the watchdog instead of stalling the suite.
+        let run = std::thread::spawn(move || {
+            let began = Instant::now();
+            let nodes: Vec<Box<dyn Node<Msg = u32, Output = u32>>> =
+                vec![Box::new(FloodTheHalted), Box::new(FloodTheHalted)];
+            let report = run_threaded(
+                NetworkTopology::uniform(2, ChannelTiming::timely(1)),
+                nodes,
+                ThreadedConfig {
+                    tick: Duration::from_micros(50),
+                    timeout: Duration::from_secs(10),
+                    seed: 4,
+                    trace: None,
+                },
+                move |_| began.elapsed() >= Duration::from_secs(2),
+            );
+            let _ = done_tx.send(report.timed_out);
+        });
+        let timed_out = done_rx
+            .recv_timeout(Duration::from_secs(20))
+            .expect("the threaded run hung past its own timeout");
+        run.join().expect("the run thread panicked");
+        assert!(
+            !timed_out,
+            "the stop predicate, not the timeout, ends the run"
+        );
     }
 }

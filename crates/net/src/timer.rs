@@ -1,4 +1,5 @@
-//! O(1) timer bookkeeping shared by both substrates.
+//! O(1) timer bookkeeping shared by every substrate: the simulator and the
+//! wall-clock [`Driver`](crate::Driver).
 //!
 //! A [`TimerId`](crate::TimerId) packs a *slot* (low 32 bits) and a
 //! *generation* (high 32 bits). Slots are recycled: when every scheduled

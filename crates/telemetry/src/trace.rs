@@ -103,9 +103,10 @@ pub enum TraceKind {
     },
     /// A timer fired and its handler ran.
     TimerFired,
-    /// One handler invocation's wall-clock cost.
+    /// One handler invocation's wall-clock cost, recorded before the
+    /// substrate applies the invocation's effects.
     HandlerStep {
-        /// Nanoseconds spent inside the handler plus its effect drain.
+        /// Nanoseconds spent inside the handler call alone.
         nanos: u64,
     },
     /// A slot's client command batch finished arriving (stage 0).

@@ -10,8 +10,8 @@
 //!   bounded outbound queues (slow or Byzantine peers cost drops, never
 //!   stalls), decode-error disconnects (garbage bytes cost the sender its
 //!   connection, never the receiver its process), reconnect with backoff,
-//!   and wall-clock timers on the shared
-//!   [`TimerTable`](minsync_net::TimerTable) generation scheme.
+//!   and the node itself run by the same wall-clock
+//!   [`Driver`](minsync_net::Driver) as the threaded runtime.
 //! * [`cluster`] — a localhost orchestrator that spawns `n` `minsync-node`
 //!   OS processes, bootstraps their port assignments over a stdin/stdout
 //!   control pipe, and collects per-replica committed-log digests and

@@ -2,7 +2,7 @@
 //! process over real `std::net` sockets.
 //!
 //! Where the threaded runtime (`minsync_net::threaded`) keeps every process
-//! in one address space and routes messages through an in-memory router,
+//! in one address space and passes messages through in-memory inboxes,
 //! the mesh puts each process in its own OS process (or at least its own
 //! mesh instance) and speaks the `minsync-wire` byte protocol over
 //! `n · (n − 1)` directed TCP connections — one per ordered process pair,
@@ -27,12 +27,12 @@
 //!   error, oversized frame announcement, or handshake mismatch disconnects
 //!   *that peer's connection* and counts it; the process never dies on
 //!   received bytes.
-//! * **Drives the node** exactly like the other substrates: one [`Env`],
-//!   effects drained after every handler, wall-clock timers mapped onto the
-//!   shared [`TimerId`] generation scheme via the env's
-//!   [`TimerTable`](minsync_net::TimerTable) (`arm` / `cancel` /
-//!   `try_fire`), and self-addressed traffic delivered through an in-memory
-//!   queue (the paper's always-timely virtual self-channel).
+//! * **Drives the node** through the same [`Driver`] the threaded runtime
+//!   uses: the driver owns the node, its [`Env`](minsync_net::Env), the
+//!   wall-clock timers and the effect match, and hands sends, broadcasts and
+//!   outputs to the mesh's [`Outbox`]. Self-addressed traffic is delivered
+//!   through an in-memory queue (the paper's always-timely virtual
+//!   self-channel).
 //!
 //! Identity is *claimed* by default — see [`Hello`] — but a mesh configured
 //! with an [`Authenticator`] ([`MeshConfig::auth`]) **proves** it: the
@@ -44,7 +44,7 @@
 //! ordering, exactly the guarantee the protocols were verified against on
 //! the simulator.
 
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 use std::fmt::Debug;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -55,14 +55,14 @@ use std::time::{Duration, Instant};
 
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender};
 use minsync_auth::Authenticator;
-use minsync_net::{derive_stream, stream_of, Effect, Env, Node, TimerId, VirtualTime};
+use minsync_net::{derive_stream, stream_of, Driver, Node, Outbox, WallClock};
 use minsync_telemetry::trace::{queues, TraceKind, TraceRecorder};
 use minsync_telemetry::{Counter, Gauge, Registry};
 use minsync_types::ProcessId;
 use minsync_wire::{
-    control_frame, decode_frame, decode_frame_timed, encode_frame, encode_frame_tagged,
-    encode_frame_timed, split_control, split_frame, tagged_frame_cap, verify_frame_tag, Hello,
-    Wire, DEFAULT_MAX_FRAME, HELLO_LEN, KEEPALIVE_FRAME, MAGIC, PING_TAG, PONG_TAG,
+    control_frame, decode_frame, encode_frame, encode_frame_tagged, split_control, split_frame,
+    tagged_frame_cap, verify_frame_tag, Hello, Wire, DEFAULT_MAX_FRAME, HELLO_LEN, KEEPALIVE_FRAME,
+    MAGIC, PING_TAG, PONG_TAG,
 };
 
 /// Stream-namespace tag of the TCP mesh (`"MESH"`), keeping its derived
@@ -73,7 +73,8 @@ const MESH_STREAM_TAG: u32 = 0x4D45_5348;
 #[derive(Clone, Debug)]
 pub struct MeshConfig {
     /// Wall-clock duration of one virtual tick (timer delays and
-    /// [`Env::now`] are expressed in ticks, as on every other substrate).
+    /// [`Env::now`](minsync_net::Env::now) are expressed in ticks, as on
+    /// every other substrate).
     pub tick: Duration,
     /// Hard wall-clock cap on the run.
     pub timeout: Duration,
@@ -401,18 +402,14 @@ impl MeshCounters {
 #[derive(Debug)]
 struct TraceCtx {
     trace: Arc<TraceRecorder>,
-    start: Instant,
-    tick_ns: u64,
+    clock: WallClock,
     me: u32,
 }
 
 impl TraceCtx {
-    fn now_ticks(&self) -> u64 {
-        (self.start.elapsed().as_nanos() as u64) / self.tick_ns.max(1)
-    }
-
     fn record(&self, kind: TraceKind) {
-        self.trace.record_at(self.now_ticks(), self.me, kind);
+        self.trace
+            .record_at(self.clock.now().ticks(), self.me, kind);
     }
 }
 
@@ -458,7 +455,7 @@ impl TcpMesh {
     /// Panics if `peers.len() < 2` or `me` is out of range.
     pub fn run<M, O>(
         self,
-        mut node: Box<dyn Node<Msg = M, Output = O>>,
+        node: Box<dyn Node<Msg = M, Output = O>>,
         peers: &[SocketAddr],
         config: &MeshConfig,
         mut stop: impl FnMut(&[MeshOutput<O>], &MeshCounters) -> bool,
@@ -472,23 +469,31 @@ impl TcpMesh {
         assert!(n >= 2, "a mesh of one process has no wires");
         assert!(me.index() < n, "process id out of range");
         let start = Instant::now();
+        let clock = WallClock::new(start, config.tick);
         let shared = Arc::new(MeshCounters::new(n, config.registry.as_deref()));
         let trace_ctx = config.trace.as_ref().map(|trace| {
             Arc::new(TraceCtx {
                 trace: Arc::clone(trace),
-                start,
-                tick_ns: config.tick.as_nanos().max(1) as u64,
+                clock,
                 me: me.index() as u32,
             })
         });
-        // Queue depths live beside the channels (the vendored channel has no
-        // len()); they exist only to label trace events and are untouched —
-        // like every hook here — when tracing is off.
-        let inbox_depth = Arc::new(AtomicU64::new(0));
+        let mut driver = Driver::new(
+            me,
+            n,
+            node,
+            derive_stream(
+                config.seed,
+                stream_of(MESH_STREAM_TAG, me.index() as u32 + 1),
+            ),
+            clock,
+            config.trace.clone(),
+        );
 
         // Outbound plumbing first (readers route pong echoes through the
         // writer queues, so the channels must exist before the acceptor):
-        // one writer thread + bounded queue per peer.
+        // one writer thread + bounded queue per peer. Queue depths live
+        // beside the channels (the vendored channel has no len()).
         let mut peer_txs: Vec<Option<Sender<WriterCmd<M>>>> = Vec::with_capacity(n);
         let mut writers: Vec<JoinHandle<()>> = Vec::new();
         let outbound_depths: Vec<Arc<AtomicU64>> =
@@ -534,7 +539,7 @@ impl TcpMesh {
                 max_frame: config.max_frame,
                 auth: config.auth.clone(),
                 trace: trace_ctx.clone(),
-                inbox_depth: Arc::clone(&inbox_depth),
+                inbox_depth: driver.inbox_depth(),
                 pong_txs: peer_txs.clone(),
                 epoch: start,
                 tick_ns: config.tick.as_nanos().max(1) as u64,
@@ -542,36 +547,17 @@ impl TcpMesh {
         );
 
         // The node loop, on this thread.
-        let mut worker = MeshWorker {
+        let mut outbox = MeshOutbox {
             me,
-            start,
-            tick: config.tick,
             peer_txs,
             counters: &shared,
             self_queue: VecDeque::new(),
-            timers: BinaryHeap::new(),
             outputs: Vec::new(),
-            halted: false,
             faults: config.faults.clone(),
             trace: trace_ctx,
             outbound_depths,
-            inbox_depth,
-            env: Env::new(
-                n,
-                derive_stream(
-                    config.seed,
-                    stream_of(MESH_STREAM_TAG, me.index() as u32 + 1),
-                ),
-            ),
         };
-        if let Some(trace) = &config.trace {
-            worker.env.set_trace(Arc::clone(trace));
-        }
-        worker.env.prepare(me, worker.now());
-        let step = worker.step_start();
-        node.on_start(&mut worker.env);
-        worker.note_step(step);
-        worker.apply_effects();
+        driver.start(&mut outbox);
 
         let mut timed_out = false;
         loop {
@@ -579,8 +565,8 @@ impl TcpMesh {
             // callers report off it (minsync-node prints its statistics
             // block there), and a node emitting its final Output and Halt
             // in one effect batch must not lose that last callback.
-            let stop_now = stop(&worker.outputs, &shared);
-            if worker.halted || stop_now {
+            let stop_now = stop(&outbox.outputs, &shared);
+            if driver.halted() || stop_now {
                 break;
             }
             if start.elapsed() >= config.timeout {
@@ -588,60 +574,20 @@ impl TcpMesh {
                 break;
             }
             // 1. Self-channel first: always timely, never touches a socket.
-            while let Some((from, msg)) = worker.self_queue.pop_front() {
-                worker.env.prepare(me, worker.now());
-                let step = worker.step_start();
-                node.on_message(from, msg, &mut worker.env);
-                worker.note_step(step);
-                worker.apply_effects();
-                if worker.halted {
-                    break;
-                }
+            while let Some((from, msg)) = outbox.self_queue.pop_front() {
+                driver.deliver(from, msg, &mut outbox);
             }
-            if worker.halted {
+            if driver.halted() {
                 continue; // loop top reports and exits
             }
-            // 2. Due timers, filtered through the generation table.
-            let now = Instant::now();
-            while worker
-                .timers
-                .peek()
-                .is_some_and(|t: &PendingTimer| t.due <= now)
-            {
-                let t = worker.timers.pop().expect("peeked");
-                if worker.env.timers_mut().try_fire(t.id) {
-                    worker.env.prepare(me, worker.now());
-                    if let Some(ctx) = &worker.trace {
-                        ctx.record(TraceKind::TimerFired);
-                    }
-                    let step = worker.step_start();
-                    node.on_timer(t.id, &mut worker.env);
-                    worker.note_step(step);
-                    worker.apply_effects();
-                    if worker.halted {
-                        break;
-                    }
-                }
-            }
-            if worker.halted || !worker.self_queue.is_empty() {
+            // 2. Due timers.
+            driver.run_due(&mut outbox);
+            if driver.halted() || !outbox.self_queue.is_empty() {
                 continue;
             }
             // 3. Remote traffic, waiting at most until the next timer.
-            let wait = worker
-                .timers
-                .peek()
-                .map(|t| t.due.saturating_duration_since(Instant::now()))
-                .unwrap_or(Duration::from_millis(10))
-                .min(Duration::from_millis(10));
-            match inbox_rx.recv_timeout(wait) {
-                Ok((from, msg)) => {
-                    worker.note_inbox_dequeue();
-                    worker.env.prepare(me, worker.now());
-                    let step = worker.step_start();
-                    node.on_message(from, msg, &mut worker.env);
-                    worker.note_step(step);
-                    worker.apply_effects();
-                }
+            match inbox_rx.recv_timeout(driver.next_wait(Duration::from_millis(10))) {
+                Ok((from, msg)) => driver.dequeue(from, msg, &mut outbox),
                 Err(RecvTimeoutError::Timeout) => {}
                 Err(RecvTimeoutError::Disconnected) => break,
             }
@@ -651,9 +597,9 @@ impl TcpMesh {
         // inbox by dropping the receiver, then join.
         shared.shutdown.store(true, Ordering::Relaxed);
         drop(inbox_rx);
-        let MeshWorker {
+        let MeshOutbox {
             outputs, peer_txs, ..
-        } = worker;
+        } = outbox;
         drop(peer_txs);
         for w in writers {
             let _ = w.join();
@@ -682,91 +628,28 @@ impl TcpMesh {
 // Node-loop state
 // ---------------------------------------------------------------------------
 
-struct PendingTimer {
-    due: Instant,
-    id: TimerId,
-}
-
-impl PartialEq for PendingTimer {
-    fn eq(&self, o: &Self) -> bool {
-        self.due == o.due && self.id == o.id
-    }
-}
-impl Eq for PendingTimer {}
-impl PartialOrd for PendingTimer {
-    fn partial_cmp(&self, o: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(o))
-    }
-}
-impl Ord for PendingTimer {
-    fn cmp(&self, o: &Self) -> std::cmp::Ordering {
-        (o.due, o.id).cmp(&(self.due, self.id)) // min-heap
-    }
-}
-
-/// Per-run interpreter state: the env, the local timer wheel, the writer
-/// queues, and the self-delivery queue.
-struct MeshWorker<'a, M, O> {
+/// The mesh's side of the node loop: the writer queues, the self-channel
+/// and the collected outputs — the [`Outbox`] the driver sends through.
+struct MeshOutbox<'a, M, O> {
     me: ProcessId,
-    start: Instant,
-    tick: Duration,
     /// Outbound queue per peer (`None` at the self slot).
     peer_txs: Vec<Option<Sender<WriterCmd<M>>>>,
     counters: &'a MeshCounters,
     /// The paper's virtual self-channel: always timely, in-memory.
     self_queue: VecDeque<(ProcessId, M)>,
-    timers: BinaryHeap<PendingTimer>,
     outputs: Vec<MeshOutput<O>>,
-    halted: bool,
     faults: Option<Arc<LinkFaults>>,
     trace: Option<Arc<TraceCtx>>,
     /// Shadow depths of the per-peer writer queues (trace labels only).
     outbound_depths: Vec<Arc<AtomicU64>>,
-    /// Shadow depth of the inbox (readers increment, this loop decrements).
-    inbox_depth: Arc<AtomicU64>,
-    env: Env<M, O>,
 }
 
-impl<M: Clone, O> MeshWorker<'_, M, O> {
-    fn now(&self) -> VirtualTime {
-        VirtualTime::from_ticks(
-            (self.start.elapsed().as_nanos() / self.tick.as_nanos().max(1)) as u64,
-        )
-    }
-
-    /// Starts the handler-step stopwatch; `None` (free) when untraced.
-    fn step_start(&self) -> Option<Instant> {
-        self.trace.as_ref().map(|_| Instant::now())
-    }
-
-    fn note_step(&self, step: Option<Instant>) {
-        if let (Some(ctx), Some(t0)) = (&self.trace, step) {
-            ctx.record(TraceKind::HandlerStep {
-                nanos: t0.elapsed().as_nanos() as u64,
-            });
-        }
-    }
-
-    fn note_inbox_dequeue(&self) {
-        if let Some(ctx) = &self.trace {
-            let depth = self
-                .inbox_depth
-                .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |d| {
-                    Some(d.saturating_sub(1))
-                })
-                .unwrap_or(0)
-                .saturating_sub(1);
-            ctx.record(TraceKind::Dequeue {
-                queue: queues::INBOX,
-                depth,
-            });
-        }
-    }
-
+impl<M: Clone, O> Outbox<M, O> for MeshOutbox<'_, M, O> {
     /// Queues `msg` toward `to` without ever blocking: self-delivery goes
     /// through the local queue, remote delivery through the peer's bounded
     /// writer queue (overflow dropped and counted).
-    fn enqueue(&mut self, to: usize, msg: M) {
+    fn send(&mut self, to: ProcessId, msg: M) {
+        let to = to.index();
         match &self.peer_txs[to] {
             None => self.self_queue.push_back((self.me, msg)),
             Some(tx) => {
@@ -794,39 +677,16 @@ impl<M: Clone, O> MeshWorker<'_, M, O> {
         }
     }
 
-    /// Drains the env and interprets each effect.
-    fn apply_effects(&mut self) {
-        let mut effects = self.env.take_buffer();
-        for effect in effects.drain(..) {
-            match effect {
-                Effect::Send { to, msg } => self.enqueue(to.index(), msg),
-                Effect::Broadcast { msg } => {
-                    // One copy per process, self included (the substrate
-                    // expands the fan-out, as on the other substrates).
-                    for to in 0..self.peer_txs.len() {
-                        self.enqueue(to, msg.clone());
-                    }
-                }
-                Effect::SetTimer { id, delay } => {
-                    let due = Instant::now() + self.tick * (delay.min(u32::MAX as u64) as u32);
-                    self.env.timers_mut().arm(id);
-                    self.timers.push(PendingTimer { due, id });
-                }
-                Effect::CancelTimer { id } => {
-                    self.env.timers_mut().cancel(id);
-                }
-                Effect::Output(event) => {
-                    self.outputs.push(MeshOutput {
-                        elapsed: self.start.elapsed(),
-                        event,
-                    });
-                }
-                Effect::Halt => {
-                    self.halted = true;
-                }
-            }
+    fn broadcast(&mut self, msg: M) {
+        // One copy per process, self included (the substrate expands the
+        // fan-out, as on the other substrates).
+        for to in 0..self.peer_txs.len() {
+            self.send(ProcessId::new(to), msg.clone());
         }
-        self.env.restore_buffer(effects);
+    }
+
+    fn output(&mut self, elapsed: Duration, event: O) {
+        self.outputs.push(MeshOutput { elapsed, event });
     }
 }
 
@@ -1012,42 +872,25 @@ where
                                 break;
                             }
                             let at = batch.len();
-                            // Untraced runs call the plain codec — the
-                            // timing probe costs two clock reads per frame,
-                            // paid only when someone will look at the
-                            // result.
-                            let encoded = if let Some(ctx) = &spec.trace {
-                                let (res, nanos) = match &spec.auth {
-                                    Some(auth) => {
-                                        let t0 = Instant::now();
-                                        let r = encode_frame_tagged(
-                                            &msg,
-                                            &mut batch,
-                                            spec.max_frame,
-                                            auth.as_ref(),
-                                            peer_id,
-                                        );
-                                        (r, t0.elapsed().as_nanos() as u64)
-                                    }
-                                    None => encode_frame_timed(&msg, &mut batch, spec.max_frame),
-                                };
+                            // The codec stopwatch runs only when traced:
+                            // untraced frames read no clock.
+                            let t0 = spec.trace.as_ref().map(|_| Instant::now());
+                            let encoded = match &spec.auth {
+                                Some(auth) => encode_frame_tagged(
+                                    &msg,
+                                    &mut batch,
+                                    spec.max_frame,
+                                    auth.as_ref(),
+                                    peer_id,
+                                ),
+                                None => encode_frame(&msg, &mut batch, spec.max_frame),
+                            };
+                            if let (Some(ctx), Some(t0)) = (&spec.trace, t0) {
                                 ctx.record(TraceKind::FrameEncoded {
                                     bytes: (batch.len() - at) as u64,
-                                    nanos,
+                                    nanos: t0.elapsed().as_nanos() as u64,
                                 });
-                                res
-                            } else {
-                                match &spec.auth {
-                                    Some(auth) => encode_frame_tagged(
-                                        &msg,
-                                        &mut batch,
-                                        spec.max_frame,
-                                        auth.as_ref(),
-                                        peer_id,
-                                    ),
-                                    None => encode_frame(&msg, &mut batch, spec.max_frame),
-                                }
-                            };
+                            }
                             if encoded.is_err() {
                                 // Oversized local message: unsendable, count
                                 // it (the encoder left `batch` as it was).
@@ -1338,17 +1181,14 @@ fn reader_loop<M>(
                                 },
                                 None => payload,
                             };
-                            let decoded = match &trace {
-                                Some(ctx) => {
-                                    let (res, nanos) = decode_frame_timed::<M>(body);
-                                    ctx.record(TraceKind::FrameDecoded {
-                                        bytes: body.len() as u64,
-                                        nanos,
-                                    });
-                                    res
-                                }
-                                None => decode_frame::<M>(body),
-                            };
+                            let t0 = trace.as_ref().map(|_| Instant::now());
+                            let decoded = decode_frame::<M>(body);
+                            if let (Some(ctx), Some(t0)) = (&trace, t0) {
+                                ctx.record(TraceKind::FrameDecoded {
+                                    bytes: body.len() as u64,
+                                    nanos: t0.elapsed().as_nanos() as u64,
+                                });
+                            }
                             match decoded {
                                 Ok(msg) => {
                                     consumed += used;

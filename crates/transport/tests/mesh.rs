@@ -52,20 +52,30 @@ fn quick_config() -> MeshConfig {
 /// (its peer's over TCP, its own over the self-channel).
 #[test]
 fn two_meshes_broadcast_to_each_other() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Arc;
+
     let a = TcpMesh::bind(ProcessId::new(0), "127.0.0.1:0".parse().unwrap()).unwrap();
     let b = TcpMesh::bind(ProcessId::new(1), "127.0.0.1:0".parse().unwrap()).unwrap();
     let peers = vec![a.local_addr().unwrap(), b.local_addr().unwrap()];
     let peers_b = peers.clone();
+    // A stopping mesh drops what its writers have not sent yet, and b can
+    // hold both values before its own writer has even dialed a. So b
+    // lingers until a has seen both values too.
+    let a_done = Arc::new(AtomicBool::new(false));
+    let a_done_b = Arc::clone(&a_done);
     let handle = std::thread::spawn(move || {
         b.run(
             Box::new(Caster(200)),
             &peers_b,
             &quick_config(),
-            |outs, _| outs.len() >= 2,
+            move |outs, _| outs.len() >= 2 && a_done_b.load(Ordering::Relaxed),
         )
     });
     let report_a = a.run(Box::new(Caster(100)), &peers, &quick_config(), |outs, _| {
-        outs.len() >= 2
+        let done = outs.len() >= 2;
+        a_done.store(done, Ordering::Relaxed);
+        done
     });
     let report_b = handle.join().unwrap();
     let sorted = |r: &MeshReport<u64>| {

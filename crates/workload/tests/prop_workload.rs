@@ -156,6 +156,7 @@ proptest! {
                 tick: Duration::from_micros(50),
                 timeout: Duration::from_secs(60),
                 seed: seed ^ 1,
+                ..ThreadedConfig::default()
             },
             |outs| {
                 (0..4).all(|p| {

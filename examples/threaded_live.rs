@@ -1,5 +1,5 @@
-//! The same consensus automaton, live on OS threads: crossbeam channels,
-//! wall-clock delays, a real router injecting per-channel latency.
+//! The same consensus automaton, live on OS threads: crossbeam channels and
+//! wall-clock delays, each sender sampling its channel's latency.
 //!
 //! ```text
 //! cargo run --example threaded_live
@@ -30,7 +30,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             })
             .collect();
 
-    println!("spawning 4 replica threads + router…");
+    println!("spawning 4 replica threads…");
     let report = run_threaded(
         topo,
         nodes,
@@ -38,6 +38,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             tick: Duration::from_micros(200),
             timeout: Duration::from_secs(30),
             seed: 3,
+            ..ThreadedConfig::default()
         },
         |outs| {
             outs.iter()

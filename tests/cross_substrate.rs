@@ -61,6 +61,7 @@ fn threaded_decisions(proposals: &[u64]) -> Vec<u64> {
             tick: Duration::from_micros(100),
             timeout: Duration::from_secs(30),
             seed: 7,
+            ..ThreadedConfig::default()
         },
         |outs| {
             outs.iter()
@@ -252,6 +253,7 @@ fn smr_workload_commits_identically_on_both_substrates() {
             tick: Duration::from_micros(50),
             timeout: Duration::from_secs(60),
             seed,
+            ..ThreadedConfig::default()
         },
         |outs| {
             (0..4).all(|p| {

@@ -93,6 +93,7 @@ fn threaded_runtime_runs_the_same_consensus_automaton() {
             tick: Duration::from_micros(100),
             timeout: Duration::from_secs(30),
             seed: 1,
+            ..ThreadedConfig::default()
         },
         |outs| {
             outs.iter()
